@@ -123,7 +123,7 @@ def run_backend_sweep(executor, x_eval, y_eval, networks, backends,
 
 def run_benchmark(network="mlp-1", sigma=0.10, trials=16, n_samples=600,
                   eval_samples=50, seed=0, workers=4, trial_batch=8,
-                  repeats=7, backends=("numpy", "numba", "cupy")):
+                  repeats=7, backends=("numpy", "numba")):
     from repro.experiments.fig7_accuracy import (
         Fig7Config,
         _prepare_network,
@@ -240,7 +240,7 @@ def main(argv=None) -> int:
     parser.add_argument("--trial-batch", type=int, default=8)
     parser.add_argument("--repeats", type=int, default=7)
     parser.add_argument(
-        "--backends", default="numpy,numba,cupy",
+        "--backends", default="numpy,numba",
         help="comma-separated compute backends to sweep (numpy is "
              "always included as the x-factor baseline; missing "
              "engines are recorded as available: false)",

@@ -97,7 +97,7 @@ def build_parser() -> argparse.ArgumentParser:
     fig7.add_argument("--trial-batch", type=int, default=1, metavar="T",
                       help="Monte-Carlo trials per stacked forward pass")
     fig7.add_argument("--backend",
-                      choices=["numpy", "numba", "cupy", "auto"],
+                      choices=["numpy", "numba", "auto"],
                       default="numpy",
                       help="stacked-kernel compute backend (execution "
                            "knob; results byte-identical at any choice; "
@@ -152,7 +152,7 @@ def build_parser() -> argparse.ArgumentParser:
     faults.add_argument("--trial-batch", type=int, default=1, metavar="T",
                         help="trials per stacked forward pass")
     faults.add_argument("--compute-backend",
-                        choices=["numpy", "numba", "cupy", "auto"],
+                        choices=["numpy", "numba", "auto"],
                         default="numpy",
                         help="stacked-kernel compute backend (execution "
                              "knob, distinct from the hardware --backend; "

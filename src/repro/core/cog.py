@@ -105,17 +105,8 @@ class ColumnOutputGenerator:
     # ------------------------------------------------------------------
     # Stage 2: ramp comparison in S2 (Eq. 4)
     # ------------------------------------------------------------------
-    def times_from_voltages(self, v_out: ArrayLike, backend=None) -> COGResult:
-        """Output spike times for held column voltages.
-
-        ``backend`` routes the hot elementwise transforms through a
-        :class:`~repro.kernels.ComputeBackend` (default numpy — the
-        byte-identical reference; the numba backend inherits the numpy
-        transforms, so results never depend on the knob).
-        """
-        from ..kernels import get_backend
-
-        be = get_backend(backend)
+    def times_from_voltages(self, v_out: ArrayLike) -> COGResult:
+        """Output spike times for held column voltages."""
         v = np.atleast_1d(np.asarray(v_out, dtype=float))
         if np.any(v < 0):
             raise CircuitError("held column voltages must be >= 0")
@@ -131,8 +122,8 @@ class ColumnOutputGenerator:
             ratio = threshold / p.v_s
             reachable = ratio < 1.0
             with np.errstate(divide="ignore", invalid="ignore"):
-                t = -p.tau_gd * be.log1p(-be.where(reachable, ratio, 0.0))
-            t = be.where(reachable, t, np.inf)
+                t = -p.tau_gd * np.log1p(-np.where(reachable, ratio, 0.0))
+            t = np.where(reachable, t, np.inf)
         else:
             t = threshold * p.tau_gd / p.v_s
 
@@ -140,7 +131,7 @@ class ColumnOutputGenerator:
             t = np.asarray(self.comparator.output_edge_time(t), dtype=float)
 
         fired = t <= p.slice_length
-        times = be.where(fired, t, p.slice_length)
+        times = np.where(fired, t, p.slice_length)
         return COGResult(times=times, fired=fired, v_out=v)
 
     # ------------------------------------------------------------------

@@ -10,6 +10,9 @@ Internally: encode ``x`` into spike times, run the (exact or linear)
 timing MVM, decode output times with the engine's calibrated output
 scale.  The engine also supports Monte-Carlo process-variation clones —
 the Fig. 7 protocol — and optional column-saturation compensation.
+An engine whose array is a ``(T, rows, cols)``
+:class:`~repro.reram.crossbar.StackedCrossbar` runs ``T`` such clones
+through the same code at once.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ import numpy as np
 
 from ..config import CircuitParameters
 from ..errors import MappingError, ShapeError
-from ..reram.crossbar import CrossbarArray, StackedCrossbar
+from ..reram.crossbar import CrossbarArray
 from ..reram.device import DeviceSpec
 from ..reram.variation import StuckAtFaultModel, VariationModel
 from .encoding import SingleSpikeCodec
@@ -104,6 +107,19 @@ class ReSiPEEngine:
         array.program_normalised(w)
         return cls(array, params, **kwargs)
 
+    def _with_array(self, array) -> "ReSiPEEngine":
+        """A clone on ``array`` sharing this engine's operating point,
+        mode, codec, output scale and compensation — the single place
+        Monte-Carlo clones and trial stacks are built."""
+        return ReSiPEEngine(
+            array,
+            self.params,
+            mode=self.mode,
+            codec=self.codec,
+            output_scale=self.output_scale,
+            compensate=self.compensate,
+        )
+
     def perturbed(
         self,
         rng: np.random.Generator,
@@ -115,14 +131,8 @@ class ReSiPEEngine:
         programmed conductances (the Fig. 7 protocol).  The original
         engine is untouched."""
         variation = VariationModel(sigma=sigma, distribution=distribution)
-        array = self.array.perturb(rng, variation=variation, faults=faults)
-        return ReSiPEEngine(
-            array,
-            self.params,
-            mode=self.mode,
-            codec=self.codec,
-            output_scale=self.output_scale,
-            compensate=self.compensate,
+        return self._with_array(
+            self.array.perturb(rng, variation=variation, faults=faults)
         )
 
     def faulted(
@@ -132,14 +142,7 @@ class ReSiPEEngine:
         :class:`~repro.faults.injectors.FaultInjector` — stuck-at,
         drift, wear, or any composition).  The original engine is
         untouched, mirroring :meth:`perturbed`."""
-        return ReSiPEEngine(
-            self.array.injected(injector, rng),
-            self.params,
-            mode=self.mode,
-            codec=self.codec,
-            output_scale=self.output_scale,
-            compensate=self.compensate,
-        )
+        return self._with_array(self.array.injected(injector, rng))
 
     def aged(
         self,
@@ -151,63 +154,35 @@ class ReSiPEEngine:
         seconds under ``retention`` (a
         :class:`repro.reram.retention.RetentionModel`).  The original
         engine is untouched."""
-        array = retention.age_array(self.array, elapsed, rng)
-        return ReSiPEEngine(
-            array,
-            self.params,
-            mode=self.mode,
-            codec=self.codec,
-            output_scale=self.output_scale,
-            compensate=self.compensate,
-        )
+        return self._with_array(retention.age_array(self.array, elapsed, rng))
 
     # ------------------------------------------------------------------
     # Value-domain MVM
     # ------------------------------------------------------------------
-    def mvm_values(self, x: np.ndarray) -> np.ndarray:
+    def mvm_values(self, x: np.ndarray, backend=None) -> np.ndarray:
         """Compute ``y ≈ x @ W`` in the single-spiking time domain.
 
         ``x`` is ``(rows,)`` or ``(batch, rows)`` with entries in
         ``[0, 1]``; the result is value-decoded output, ``(cols,)`` or
         ``(batch, cols)``.  Outputs that saturate the slice decode to
         the clamp value (the engine's dynamic-range ceiling).
+
+        On a ``(T, rows, cols)``
+        :class:`~repro.reram.crossbar.StackedCrossbar` (see
+        :meth:`_with_array`) ``x`` may also be per-trial
+        ``(T, batch, rows)``, and the result carries a leading trial
+        axis whose slice ``t`` is bit-identical to the clone of
+        realization ``t``.  ``backend`` (a
+        :class:`~repro.kernels.ComputeBackend`; default numpy) runs the
+        crossbar product and never changes results.
         """
         x_arr = np.asarray(x, dtype=float)
         times_in = np.asarray(self.codec.times_from_values(x_arr), dtype=float)
-        result = self.mvm.evaluate(times_in)
-        t_out = result.times
+        t_out = self.mvm.evaluate(times_in, backend).times
         if self.compensate and self.mode is MVMMode.EXACT:
-            total_g = self.array.column_total_conductance()
-            t_out = np.asarray(
-                compensate_column_saturation(t_out, total_g, self.params),
-                dtype=float,
-            )
-        return t_out / self.output_scale
-
-    def mvm_values_stacked(
-        self, x: np.ndarray, stacked: StackedCrossbar, backend=None
-    ) -> np.ndarray:
-        """:meth:`mvm_values` over ``T`` conductance realizations at once.
-
-        ``stacked`` carries the Monte-Carlo trial tensor (built from
-        perturbed clones of this engine's array); ``x`` is ``(rows,)``,
-        ``(batch, rows)`` shared by every trial, or per-trial
-        ``(T, batch, rows)``.  Returns ``(T, cols)`` or
-        ``(T, batch, cols)``.  Codec, operating point, output scale and
-        compensation are this engine's own — exactly the state every
-        per-trial clone inherits — so each ``result[t]`` is bit-identical
-        to ``clone_t.mvm_values(x)``.  ``backend`` selects the stacked
-        compute kernels (:mod:`repro.kernels`; default numpy) and never
-        changes results.
-        """
-        x_arr = np.asarray(x, dtype=float)
-        times_in = np.asarray(self.codec.times_from_values(x_arr), dtype=float)
-        result = self.mvm.evaluate_stacked(times_in, stacked, backend=backend)
-        t_out = result.times
-        if self.compensate and self.mode is MVMMode.EXACT:
-            total_g = stacked.column_total_conductance()  # (T, cols)
-            if t_out.ndim == 3:
-                total_g = total_g[:, None, :]
+            total_g = self.array.column_total_conductance()  # (..., cols)
+            if t_out.ndim > total_g.ndim:
+                total_g = total_g[..., None, :]
             t_out = np.asarray(
                 compensate_column_saturation(t_out, total_g, self.params),
                 dtype=float,

@@ -11,19 +11,21 @@ the column output generators into one vectorised operator:
 
 EXACT mode carries the two non-linearities analysed in Section III-D
 (ramp curvature and column saturation); LINEAR mode is the idealised
-algebra.  Batched evaluation over many input vectors is a single numpy
-expression.
+algebra.  Batched evaluation over many input vectors — and over a
+``(T, rows, cols)`` stack of Monte-Carlo conductance draws — is a single
+broadcast numpy expression.
 """
 
 from __future__ import annotations
 
 import enum
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 
 from ..config import CircuitParameters
 from ..errors import ConfigurationError, ShapeError
+from ..kernels import get_backend
 from ..reram.crossbar import CrossbarArray, StackedCrossbar
 from ..telemetry import session as _telemetry
 from .cog import COGResult, ColumnOutputGenerator
@@ -89,50 +91,86 @@ class SingleSpikeMVM:
         """
         return self.evaluate(input_times).times
 
-    def evaluate(self, input_times: np.ndarray) -> COGResult:
-        """Full evaluation returning times, fired mask and held voltages."""
+    def evaluate(self, input_times: np.ndarray, backend=None) -> COGResult:
+        """Full evaluation returning times, fired mask and held voltages.
+
+        The operator's array is a :class:`CrossbarArray` or a
+        ``(T, rows, cols)`` :class:`StackedCrossbar` of Monte-Carlo
+        realizations.  Against a stack, ``input_times`` may also be
+        per-trial ``(T, batch, rows)`` and every result array gains a
+        leading trial axis; slice ``t`` is bit-identical to evaluating
+        realization ``t`` alone.  ``backend`` is the
+        :class:`~repro.kernels.ComputeBackend` running the crossbar
+        product (default numpy) and never changes results.
+        """
+        array = self.array
         t_in = np.asarray(input_times, dtype=float)
         squeeze = t_in.ndim == 1
-        t_in = np.atleast_2d(t_in)
-        if t_in.shape[1] != self.array.rows:
+        if squeeze:
+            t_in = t_in[None, :]
+        if t_in.shape[-1] != array.rows:
             raise ShapeError(
-                f"input vector length {t_in.shape[1]} != crossbar rows "
-                f"{self.array.rows}"
+                f"input vector length {t_in.shape[-1]} != crossbar rows "
+                f"{array.rows}"
             )
+        trials = array.trials if isinstance(array, StackedCrossbar) else None
+        if t_in.ndim == 3 and t_in.shape[0] != trials:
+            raise ShapeError(
+                f"per-trial inputs carry {t_in.shape[0]} trials, "
+                f"array holds {trials or 1}"
+            )
+        if self.parasitic_thevenin is not None and trials is not None:
+            raise ConfigurationError(
+                "parasitic_thevenin is per-realization state; a trial "
+                "stack only supports the ideal column model"
+            )
+        if backend is None:
+            backend = get_backend()
 
         if self.mode is MVMMode.LINEAR:
-            result = self._evaluate_linear(t_in)
+            result = self._evaluate_linear(t_in, backend)
         else:
-            result = self._evaluate_exact(t_in)
+            result = self._evaluate_exact(t_in, backend)
 
         session = _telemetry.active()
         if session is not None:
-            batch = t_in.shape[0]
-            session.count("mvm.count", batch)
-            session.count(
-                "mvm.elements", batch * self.array.rows * self.array.cols
-            )
+            products = result.times.size // array.cols
+            session.count("mvm.count", products)
+            session.count("mvm.elements", products * array.rows * array.cols)
 
         if squeeze:
             return COGResult(
-                times=result.times[0], fired=result.fired[0], v_out=result.v_out[0]
+                times=result.times[..., 0, :],
+                fired=result.fired[..., 0, :],
+                v_out=result.v_out[..., 0, :],
             )
         return result
 
-    # ------------------------------------------------------------------
-    def _evaluate_exact(self, t_in: np.ndarray) -> COGResult:
-        p = self.params
-        g = self.array.conductances
+    def evaluate_stacked(
+        self, input_times: np.ndarray, stacked: StackedCrossbar,
+        backend=None,
+    ) -> COGResult:
+        """:meth:`evaluate` against the trial stack ``stacked``."""
+        return SingleSpikeMVM(
+            stacked, self.params, mode=self.mode, decoder=self.decoder,
+            cog=self.cog, parasitic_thevenin=self.parasitic_thevenin,
+        ).evaluate(input_times, get_backend(backend))
 
+    def _evaluate_exact(self, t_in: np.ndarray, backend) -> COGResult:
+        p = self.params
+        array = self.array
         v_in = np.asarray(self.decoder.voltages_from_times(t_in), dtype=float)
         if self.parasitic_thevenin is not None:
             v_eq = self.parasitic_thevenin.v_eq(v_in)  # (batch, cols)
             depth = p.dt / (self.parasitic_thevenin.r_eq * p.c_cog)
         else:
-            total_g = self.array.column_total_conductance()  # (cols,)
-            v_eq = (v_in @ g) / total_g  # (batch, cols)
-            depth = p.dt * total_g / p.c_cog  # (cols,)
-        v_out = v_eq * (1.0 - np.exp(-depth))
+            total_g = array.column_total_conductance()  # (..., cols)
+            v_eq = (
+                backend.matmul(v_in, array.conductances)
+                / total_g[..., None, :]
+            )  # (..., batch, cols)
+            depth = p.dt * total_g / p.c_cog  # (..., cols)
+        v_out = v_eq * (1.0 - np.exp(-depth))[..., None, :]
 
         batch_result = self.cog.times_from_voltages(v_out.ravel())
         shape = v_out.shape
@@ -142,112 +180,11 @@ class SingleSpikeMVM:
             v_out=batch_result.v_out.reshape(shape),
         )
 
-    def evaluate_stacked(
-        self, input_times: np.ndarray, stacked: StackedCrossbar,
-        backend=None,
-    ) -> COGResult:
-        """Evaluate ``T`` Monte-Carlo conductance realizations at once.
-
-        ``stacked`` holds the trial tensor ``(T, rows, cols)``;
-        ``input_times`` is ``(rows,)`` / ``(batch, rows)`` (same inputs
-        for every trial) or ``(T, batch, rows)`` (per-trial inputs, the
-        shape deeper layers see once trials have diverged).  Returns a
-        :class:`COGResult` of ``(T, cols)`` or ``(T, batch, cols)``
-        arrays.
-
-        The trial axis rides through one broadcast batched matmul plus
-        elementwise codec stages — both provided by ``backend`` (a
-        :class:`~repro.kernels.ComputeBackend`; default numpy) — so
-        each ``result[t]`` is bit-identical to :meth:`evaluate` on the
-        lone realization ``t`` at *any* backend choice — the property
-        that lets the reproducibility suite compare persisted records
-        byte for byte across serial and stacked paths.
-        """
-        from ..kernels import get_backend
-
-        backend = get_backend(backend)
-        t_in = np.asarray(input_times, dtype=float)
-        squeeze = t_in.ndim == 1
-        if t_in.ndim == 1:
-            t_in = t_in[None, :]
-        if t_in.ndim == 3 and t_in.shape[0] != stacked.trials:
-            raise ShapeError(
-                f"per-trial inputs carry {t_in.shape[0]} trials, "
-                f"stack holds {stacked.trials}"
-            )
-        if t_in.shape[-1] != stacked.rows:
-            raise ShapeError(
-                f"input vector length {t_in.shape[-1]} != crossbar rows "
-                f"{stacked.rows}"
-            )
-        if self.parasitic_thevenin is not None:
-            raise ConfigurationError(
-                "parasitic_thevenin is per-realization state; the stacked "
-                "trial path only supports the ideal column model"
-            )
-
-        if self.mode is MVMMode.LINEAR:
-            result = self._evaluate_linear_stacked(t_in, stacked, backend)
-        else:
-            result = self._evaluate_exact_stacked(t_in, stacked, backend)
-
-        session = _telemetry.active()
-        if session is not None:
-            batch = t_in.shape[-2] if t_in.ndim == 3 else t_in.shape[0]
-            products = stacked.trials * batch
-            session.count("mvm.count", products)
-            session.count(
-                "mvm.elements", products * stacked.rows * stacked.cols
-            )
-
-        if squeeze:
-            return COGResult(
-                times=result.times[:, 0],
-                fired=result.fired[:, 0],
-                v_out=result.v_out[:, 0],
-            )
-        return result
-
-    def _evaluate_exact_stacked(
-        self, t_in: np.ndarray, stacked: StackedCrossbar, backend
-    ) -> COGResult:
-        p = self.params
-        v_in = np.asarray(self.decoder.voltages_from_times(t_in), dtype=float)
-        total_g = stacked.column_total_conductance()  # (T, cols)
-        v_eq = (
-            stacked.mvm_currents(v_in, backend) / total_g[:, None, :]
-        )  # (T, b, cols)
-        depth = p.dt * total_g / p.c_cog  # (T, cols)
-        v_out = v_eq * (1.0 - backend.exp(-depth))[:, None, :]
-
-        batch_result = self.cog.times_from_voltages(
-            v_out.ravel(), backend=backend
-        )
-        shape = v_out.shape
-        return COGResult(
-            times=batch_result.times.reshape(shape),
-            fired=batch_result.fired.reshape(shape),
-            v_out=batch_result.v_out.reshape(shape),
-        )
-
-    def _evaluate_linear_stacked(
-        self, t_in: np.ndarray, stacked: StackedCrossbar, backend
-    ) -> COGResult:
-        p = self.params
-        safe_t = backend.where(np.isnan(t_in), 0.0, t_in)
-        times = p.mac_gain * stacked.mvm_currents(
-            safe_t, backend
-        )  # Eq. 6, (T, b, cols)
-        fired = times <= p.slice_length
-        clamped = backend.where(fired, times, p.slice_length)
-        v_out = times * p.v_s / p.tau_gd
-        return COGResult(times=clamped, fired=fired, v_out=v_out)
-
-    def _evaluate_linear(self, t_in: np.ndarray) -> COGResult:
+    def _evaluate_linear(self, t_in: np.ndarray, backend) -> COGResult:
         p = self.params
         g = self.array.conductances
         safe_t = np.where(np.isnan(t_in), 0.0, t_in)
-        times = p.mac_gain * (safe_t @ g)  # Eq. 6
+        times = p.mac_gain * backend.matmul(safe_t, g)  # Eq. 6
         fired = times <= p.slice_length
         clamped = np.where(fired, times, p.slice_length)
         # Back out the voltage a COG would have held (linear Eq. 4).

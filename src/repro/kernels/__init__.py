@@ -1,18 +1,16 @@
-"""Pluggable compute backends for the trial-stacked MVM kernels.
+"""Pluggable compute backends for the crossbar matmul.
 
-The Monte-Carlo fast path (PR 4) funnels every hot array operation —
-the broadcast batched matmul, the exp/log1p codec transforms, the
-banded partial-sum accumulation — through a tiny set of primitives.
-:class:`ComputeBackend` names those primitives; implementations swap
-the execution engine without touching the physics:
+Every crossbar product of the signal chain — a lone ``(rows, cols)``
+array or a ``(T, rows, cols)`` Monte-Carlo trial stack — runs through
+one primitive, :meth:`ComputeBackend.matmul`.  Everything else in the
+chain is numpy glue that a backend never changes.
 
-* :class:`NumpyBackend` — the default; literally the numpy calls the
-  serial reference path runs, so results are byte-identical to today.
+* :class:`NumpyBackend` — the default; ``np.matmul`` itself, so results
+  are the reference bytes.
 * :class:`NumbaBackend` — JIT-compiled ``prange`` over trial slices,
   each slice dispatching to the same BLAS GEMM numpy uses (preserving
   per-slice bit-identity).  Lazily imported; selecting it without
   numba installed raises :class:`~repro.errors.ConfigurationError`.
-* :class:`CupyBackend` — GPU stub behind the same capability check.
 
 Backends are *execution knobs*, never spec: campaign fingerprints,
 persisted store bytes and CLI stdout are identical across backends
@@ -22,7 +20,6 @@ single warning when the ``perf`` extra is missing.
 """
 
 from .backend import ComputeBackend, available_backends, get_backend
-from .cupy_backend import CupyBackend
 from .numba_backend import NumbaBackend
 from .numpy_backend import NumpyBackend
 
@@ -30,7 +27,6 @@ __all__ = [
     "ComputeBackend",
     "NumpyBackend",
     "NumbaBackend",
-    "CupyBackend",
     "get_backend",
     "available_backends",
 ]

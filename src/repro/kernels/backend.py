@@ -1,28 +1,15 @@
 """The :class:`ComputeBackend` protocol and backend resolution.
 
-A backend implements the handful of array primitives the EXACT/LINEAR
-stacked MVM path actually executes.  Everything else in the signal
-chain is glue around these four calls, so swapping a backend swaps the
-entire hot loop:
+A backend implements the one primitive every backend overrides:
+``matmul``, the crossbar product ``(..., rows) @ (rows, cols)`` or the
+broadcast trial product ``(..., rows) @ (T, rows, cols)``.  The rest of
+the signal chain (codec, decoder ramp, COG inversion, band
+accumulation) is plain numpy shared by every backend.
 
-``matmul``
-    The broadcast trial product ``(..., rows) @ (T, rows, cols)`` —
-    the single hottest operation of every Monte-Carlo sweep.
-``exp`` / ``log1p``
-    The COG charge-up and ramp-inversion column transforms (paper
-    Eqs. 3–4).
-``where``
-    Masked selection (absent-spike zeroing, saturation clamping).
-``accumulate``
-    Banded partial-sum accumulation ``out[..., cols] += partial`` of
-    the tile-grid digital adder.
-
-Bit-identity contract: the default numpy implementations *are* the
-expressions the serial reference path runs, so ``get_backend(None)``
-changes nothing.  Alternative backends must keep per-trial-slice
-bit-identity for ``matmul`` (the property the contract tests enforce);
-elementwise transforms inherit the numpy implementations unless a
-backend can guarantee last-ulp agreement.
+Bit-identity contract: ``get_backend(None)`` is ``np.matmul``, the
+reference.  Alternative backends must keep every trial slice ``t`` of
+a stacked product bit-identical to the 2-D product ``x[t] @ w[t]``
+(the property the contract tests enforce).
 """
 
 from __future__ import annotations
@@ -49,47 +36,22 @@ def _module_available(name: str) -> bool:
 
 
 class ComputeBackend(abc.ABC):
-    """Array-primitive provider for the trial-stacked kernels.
+    """Provider of the crossbar matmul."""
 
-    Subclasses override :meth:`matmul` (mandatory) and may override the
-    elementwise transforms; the numpy defaults here are exactly what the
-    serial reference path computes, so partial overrides stay safe.
-    """
-
-    #: short identifier (``"numpy"``, ``"numba"``, ``"cupy"``)
+    #: short identifier (``"numpy"``, ``"numba"``)
     name: str = "abstract"
 
     @abc.abstractmethod
     def matmul(self, x: np.ndarray, w: np.ndarray) -> np.ndarray:
         """Broadcast product ``x @ w``.
 
-        ``w`` is a trial stack ``(T, rows, cols)``; ``x`` is ``(rows,)``
-        or ``(batch, rows)`` shared by every trial, or per-trial
-        ``(T, batch, rows)``.  Every output slice ``t`` must be
-        bit-identical to the 2-D product ``x[t] @ w[t]`` (numpy's
-        broadcast ``np.matmul`` semantics).
+        ``w`` is one array ``(rows, cols)`` or a trial stack
+        ``(T, rows, cols)``; ``x`` is ``(rows,)`` or ``(batch, rows)``
+        (shared by every trial), or per-trial ``(T, batch, rows)``.
+        Every output slice ``t`` must be bit-identical to the 2-D
+        product ``x[t] @ w[t]`` (numpy's broadcast ``np.matmul``
+        semantics).
         """
-
-    def exp(self, x: np.ndarray) -> np.ndarray:
-        """Elementwise ``e**x`` (COG charge-up, Eq. 3)."""
-        return np.exp(x)
-
-    def log1p(self, x: np.ndarray) -> np.ndarray:
-        """Elementwise ``ln(1 + x)`` (ramp inversion, Eq. 4)."""
-        return np.log1p(x)
-
-    def where(self, mask: np.ndarray, a, b) -> np.ndarray:
-        """Elementwise masked select ``mask ? a : b``."""
-        return np.where(mask, a, b)
-
-    def accumulate(self, out: np.ndarray, col_slice: slice,
-                   partial: np.ndarray) -> None:
-        """In-place banded accumulation ``out[..., col_slice] += partial``.
-
-        The tile-grid digital adder; band order is the caller's, so
-        float accumulation stays bit-identical to the serial path.
-        """
-        out[..., col_slice] += partial
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}()"
@@ -114,15 +76,10 @@ def _numpy_backend() -> ComputeBackend:
 def available_backends() -> dict:
     """Map backend name -> importability of its engine.
 
-    ``numpy`` is always available; ``numba``/``cupy`` report whether
-    the optional dependency is importable in this environment (the
-    ``perf`` extra installs numba; cupy is a manual install).
+    ``numpy`` is always available; ``numba`` reports whether the
+    optional dependency (the ``perf`` extra) is importable here.
     """
-    return {
-        "numpy": True,
-        "numba": _module_available("numba"),
-        "cupy": _module_available("cupy"),
-    }
+    return {"numpy": True, "numba": _module_available("numba")}
 
 
 def get_backend(
@@ -132,7 +89,7 @@ def get_backend(
 
     ``None`` / ``"numpy"`` return the shared numpy backend (the
     byte-identical default); a :class:`ComputeBackend` instance passes
-    through unchanged; ``"numba"`` / ``"cupy"`` require the optional
+    through unchanged; ``"numba"`` requires the optional
     dependency and raise :class:`~repro.errors.ConfigurationError` when
     it is missing (an explicit request must not silently degrade);
     ``"auto"`` picks the fastest available engine, falling back to
@@ -155,16 +112,6 @@ def get_backend(
         from .numba_backend import NumbaBackend
 
         return NumbaBackend()
-    if backend == "cupy":
-        if not _module_available("cupy"):
-            raise ConfigurationError(
-                "backend 'cupy' requested but cupy is not installed; "
-                "cupy is a manual install matched to your CUDA toolkit "
-                "(see docs/performance.md)"
-            )
-        from .cupy_backend import CupyBackend
-
-        return CupyBackend()
     if backend == "auto":
         if _module_available("numba"):
             from .numba_backend import NumbaBackend
@@ -185,5 +132,5 @@ def get_backend(
         return _numpy_backend()
     raise ConfigurationError(
         f"unknown compute backend {backend!r}; "
-        "choose numpy, numba, cupy or auto"
+        "choose numpy, numba or auto"
     )

@@ -6,12 +6,10 @@ axis: slice ``t`` of ``(..., rows) @ (T, rows, cols)`` is an ordinary
 trial, each calling ``np.dot`` on contiguous float64 slices — which
 dispatches to the very BLAS kernel numpy's broadcast ``np.matmul``
 uses, so every output slice stays *bit-identical* to the numpy backend
-(the contract the kernels test suite enforces).
-
-Elementwise transforms (``exp``/``log1p``/``where``) deliberately stay
-on the inherited numpy implementations: numpy's SIMD transcendental
-loops and libm (what numba would compile to) may disagree in the last
-ulp, and the backend knob must never change persisted bytes.
+(the contract the kernels test suite enforces).  Only the product is
+compiled: the elementwise stages of the chain stay numpy for every
+backend, since libm (what numba would compile to) and numpy's SIMD
+transcendental loops may disagree in the last ulp.
 
 numba is imported lazily on first use; constructing the backend without
 numba installed raises :class:`~repro.errors.ConfigurationError` (the

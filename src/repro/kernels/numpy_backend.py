@@ -1,11 +1,9 @@
-"""The default numpy backend — byte-identical to the reference path.
+"""The default numpy backend — the reference bytes.
 
-Every method is literally the numpy expression the pre-backend code
-ran, so routing the stacked kernels through this backend is a no-op:
-fingerprints, persisted store bytes and stdout cannot change.  numpy
-evaluates the broadcast ``matmul`` slice-by-slice with the same 2-D
-GEMM kernel used for a lone trial, which is what makes stacked results
-bit-identical to serial per-trial evaluation (the PR 4 contract).
+``matmul`` is ``np.matmul``.  numpy evaluates a broadcast trial product
+slice by slice with the same 2-D GEMM kernel it uses for a lone array,
+which is what makes slice ``t`` of a stacked product bit-identical to
+the 2-D product of realization ``t``.
 """
 
 from __future__ import annotations

@@ -30,12 +30,11 @@ from .backends import (
     IdealBackend,
     ReSiPEBackend,
     DesignBackend,
-    StackedTile,
     stack_tiles,
 )
 from .compiler import MappedLayer, MappedNetwork, compile_network
 from .executor import PIMExecutor
-from .stacked import StackedMappedLayer, StackedMappedNetwork, stack_networks
+from .stacked import stack_networks
 from .deployment import DeploymentReport, LayerDeployment, plan_deployment
 from .bit_slicing import BitSlicingBackend, slice_weights
 from .remap import (
@@ -56,14 +55,11 @@ __all__ = [
     "IdealBackend",
     "ReSiPEBackend",
     "DesignBackend",
-    "StackedTile",
     "stack_tiles",
     "MappedLayer",
     "MappedNetwork",
     "compile_network",
     "PIMExecutor",
-    "StackedMappedLayer",
-    "StackedMappedNetwork",
     "stack_networks",
     "DeploymentReport",
     "LayerDeployment",

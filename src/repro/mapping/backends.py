@@ -12,6 +12,11 @@ Backends provided:
   equations; supports variation and saturation compensation.
 * :class:`DesignBackend` — any Table II :class:`~repro.baselines.base.PIMDesign`
   functional model (quantisation effects only; variation is a no-op).
+
+:func:`stack_tiles` folds ``T`` Monte-Carlo clones of one tile into a
+tile of the same type holding ``(T, rows, cols)`` arrays, whose
+``matmul`` returns ``(T, batch, cols)`` through the same code; tile
+types without a broadcast kernel fall back to one per-trial loop.
 """
 
 from __future__ import annotations
@@ -27,19 +32,27 @@ from ..config import CircuitParameters
 from ..core.engine import ReSiPEEngine
 from ..core.mvm import MVMMode
 from ..errors import MappingError
+from ..kernels import get_backend
 from ..reram.crossbar import StackedCrossbar
 from ..reram.device import DeviceSpec
 
 __all__ = ["HardwareBackend", "ProgrammedTile", "IdealBackend",
-           "ReSiPEBackend", "DesignBackend", "StackedTile", "stack_tiles"]
+           "ReSiPEBackend", "DesignBackend", "stack_tiles"]
 
 
 class ProgrammedTile(abc.ABC):
-    """One programmed crossbar tile."""
+    """One programmed crossbar tile, or a trial stack of one (see
+    :func:`stack_tiles`)."""
 
     @abc.abstractmethod
-    def matmul(self, x: np.ndarray) -> np.ndarray:
-        """Compute ``x @ w`` through the hardware (``x`` in ``[0, 1]``)."""
+    def matmul(self, x: np.ndarray, backend=None) -> np.ndarray:
+        """Compute ``x @ w`` through the hardware (``x`` in ``[0, 1]``).
+
+        A trial stack also accepts per-trial ``(T, batch, rows)`` input
+        and returns ``(T, batch, cols)``.  ``backend`` (a
+        :class:`~repro.kernels.ComputeBackend`; default numpy) runs the
+        crossbar product and never changes results.
+        """
 
     @abc.abstractmethod
     def perturbed(self, rng: np.random.Generator, sigma: float) -> "ProgrammedTile":
@@ -87,8 +100,10 @@ class _IdealTile(ProgrammedTile):
     def __init__(self, weights: np.ndarray) -> None:
         self._w = np.asarray(weights, dtype=float)
 
-    def matmul(self, x: np.ndarray) -> np.ndarray:
-        return np.asarray(x, dtype=float) @ self._w
+    def matmul(self, x: np.ndarray, backend=None) -> np.ndarray:
+        if backend is None:
+            backend = get_backend()
+        return backend.matmul(np.asarray(x, dtype=float), self._w)
 
     def perturbed(self, rng: np.random.Generator, sigma: float) -> "_IdealTile":
         if sigma == 0:
@@ -137,10 +152,11 @@ class _ReSiPETile(ProgrammedTile):
         spec = engines[0].array.spec
         self._offset_ratio = spec.g_min / spec.g_max
 
-    def matmul(self, x: np.ndarray) -> np.ndarray:
+    def matmul(self, x: np.ndarray, backend=None) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         y = np.mean(
-            [np.asarray(e.mvm_values(x), dtype=float) for e in self._engines],
+            [np.asarray(e.mvm_values(x, backend), dtype=float)
+             for e in self._engines],
             axis=0,
         )
         x_sum = x.sum(axis=-1)
@@ -232,7 +248,7 @@ class _DesignTile(ProgrammedTile):
         self._design = design
         self._w = np.asarray(weights, dtype=float)
 
-    def matmul(self, x: np.ndarray) -> np.ndarray:
+    def matmul(self, x: np.ndarray, backend=None) -> np.ndarray:
         return np.asarray(self._design.mvm_values(x, self._w), dtype=float)
 
     def perturbed(self, rng: np.random.Generator, sigma: float) -> "_DesignTile":
@@ -267,122 +283,36 @@ class DesignBackend(HardwareBackend):
 
 
 # ----------------------------------------------------------------------
-# Trial-stacked tiles (the Monte-Carlo fast path)
+# Trial stacks (the Monte-Carlo fast path)
 # ----------------------------------------------------------------------
-class StackedTile(abc.ABC):
-    """``T`` Monte-Carlo realizations of one tile position, evaluated as
-    one broadcast kernel.
-
-    ``matmul`` accepts inputs ``(batch, rows)`` shared by every trial or
-    per-trial ``(T, batch, rows)`` and returns ``(T, batch, cols)``.
-    Each output slice ``t`` is bit-identical to the corresponding
-    per-trial :meth:`ProgrammedTile.matmul` — the contract the serial /
-    stacked reproducibility suite enforces.  ``backend`` selects the
-    stacked compute kernels (:mod:`repro.kernels`; default numpy) and
-    never changes results.
-    """
-
-    @property
-    @abc.abstractmethod
-    def trials(self) -> int:
-        """Number of stacked realizations."""
-
-    @abc.abstractmethod
-    def matmul(self, x: np.ndarray, backend=None) -> np.ndarray:
-        """Compute ``x @ w_t`` for every trial ``t`` at once."""
-
-
-class _StackedIdealTile(StackedTile):
-    def __init__(self, weight_stack: np.ndarray) -> None:
-        self._w = np.asarray(weight_stack, dtype=float)
-
-    @property
-    def trials(self) -> int:
-        return self._w.shape[0]
-
-    def matmul(self, x: np.ndarray, backend=None) -> np.ndarray:
-        from ..kernels import get_backend
-
-        return get_backend(backend).matmul(
-            np.asarray(x, dtype=float), self._w
-        )
-
-
-class _StackedReSiPETile(StackedTile):
-    """Trial stack of a :class:`_ReSiPETile`.
-
-    Per redundancy slot the per-trial engine arrays collapse into one
-    :class:`StackedCrossbar`; codec, operating point and output scale
-    come from the first trial's engines (Monte-Carlo clones share them
-    by construction), so the whole signal chain matches the serial tile
-    bit for bit.
-    """
-
-    def __init__(self, tiles: list) -> None:
-        redundancies = {len(t._engines) for t in tiles}
-        if len(redundancies) > 1:
-            raise MappingError(
-                f"tiles disagree on redundancy: {sorted(redundancies)}"
-            )
-        self._engines = tiles[0]._engines
-        self._stacks = [
-            StackedCrossbar.from_arrays([t._engines[r].array for t in tiles])
-            for r in range(len(self._engines))
-        ]
-        spec = self._engines[0].array.spec
-        self._offset_ratio = spec.g_min / spec.g_max
-
-    @property
-    def trials(self) -> int:
-        return self._stacks[0].trials
-
-    def matmul(self, x: np.ndarray, backend=None) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        y = np.mean(
-            [
-                np.asarray(
-                    e.mvm_values_stacked(x, s, backend=backend), dtype=float
-                )
-                for e, s in zip(self._engines, self._stacks)
-            ],
-            axis=0,
-        )
-        x_sum = x.sum(axis=-1)
-        return (y - np.expand_dims(x_sum, -1) * self._offset_ratio) / (
-            1.0 - self._offset_ratio
-        )
-
-
-class _LoopStackedTile(StackedTile):
-    """Fallback stack for backends without a broadcast kernel (baseline
-    functional models): per-trial loop with the stacked calling
-    convention, so every backend supports ``forward_trials``."""
+class _TrialLoopTile(ProgrammedTile):
+    """Trial stack of a tile type with no broadcast kernel (baseline
+    functional models, bit-sliced tiles): one per-trial loop."""
 
     def __init__(self, tiles: list) -> None:
         self._tiles = tiles
 
-    @property
-    def trials(self) -> int:
-        return len(self._tiles)
-
     def matmul(self, x: np.ndarray, backend=None) -> np.ndarray:
-        # ``backend`` is accepted for interface uniformity but unused:
-        # baseline functional models have no broadcast kernel to swap.
         x = np.asarray(x, dtype=float)
         if x.ndim == 3:
-            return np.stack(
-                [tile.matmul(x[t]) for t, tile in enumerate(self._tiles)]
-            )
-        return np.stack([tile.matmul(x) for tile in self._tiles])
+            return np.stack([tile.matmul(x[t], backend)
+                             for t, tile in enumerate(self._tiles)])
+        return np.stack([tile.matmul(x, backend) for tile in self._tiles])
+
+    def perturbed(self, rng: np.random.Generator, sigma: float) -> "ProgrammedTile":
+        raise MappingError("a trial stack cannot be re-perturbed")
 
 
-def stack_tiles(tiles) -> StackedTile:
-    """Collapse per-trial :class:`ProgrammedTile` clones of one tile
-    position into a :class:`StackedTile`.
+def stack_tiles(tiles) -> ProgrammedTile:
+    """Collapse per-trial clones of one tile position into one tile.
 
-    Dispatches on the tile type: ideal tiles stack their weight
-    matrices, ReSiPE tiles stack conductance tensors per redundancy
-    slot, anything else falls back to a per-trial loop.
+    Ideal tiles stack their weight matrices and ReSiPE tiles stack
+    their engines' conductances per redundancy slot (codec, operating
+    point and output scale come from the first trial — Monte-Carlo
+    clones share them by construction), so the stack runs the same
+    ``matmul`` code with a leading trial axis and each output slice
+    ``t`` is bit-identical to ``tiles[t].matmul``.  Other tile types
+    run a per-trial loop.
     """
     tiles = list(tiles)
     if not tiles:
@@ -391,7 +321,17 @@ def stack_tiles(tiles) -> StackedTile:
     if any(type(t) is not first_type for t in tiles):
         raise MappingError("cannot stack tiles of mixed backend types")
     if first_type is _IdealTile:
-        return _StackedIdealTile(np.stack([t._w for t in tiles]))
+        return _IdealTile(np.stack([t._w for t in tiles]))
     if first_type is _ReSiPETile:
-        return _StackedReSiPETile(tiles)
-    return _LoopStackedTile(tiles)
+        redundancies = {len(t._engines) for t in tiles}
+        if len(redundancies) > 1:
+            raise MappingError(
+                f"tiles disagree on redundancy: {sorted(redundancies)}"
+            )
+        return _ReSiPETile([
+            engine._with_array(StackedCrossbar.from_arrays(
+                [t._engines[r].array for t in tiles]
+            ))
+            for r, engine in enumerate(tiles[0]._engines)
+        ])
+    return _TrialLoopTile(tiles)

@@ -79,9 +79,9 @@ class _BitSlicedTile(ProgrammedTile):
         self._tiles = tiles
         self._scales = scales
 
-    def matmul(self, x: np.ndarray) -> np.ndarray:
+    def matmul(self, x: np.ndarray, backend=None) -> np.ndarray:
         partials = [
-            scale * tile.matmul(x)
+            scale * tile.matmul(x, backend)
             for tile, scale in zip(self._tiles, self._scales)
         ]
         return np.sum(partials, axis=0)

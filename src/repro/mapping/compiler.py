@@ -72,10 +72,19 @@ class MappedLayer:
         """
         return self.matmul_with_bias_level(x01, bias_level=1.0)
 
-    def matmul_with_bias_level(self, x01: np.ndarray, bias_level: float) -> np.ndarray:
+    def matmul_with_bias_level(
+        self, x01: np.ndarray, bias_level: float, backend=None
+    ) -> np.ndarray:
         """Like :meth:`matmul` but drives the folded bias row at
         ``bias_level`` (the executor uses ``1/activation_scale`` so the
-        bias is correctly scaled relative to normalised activations)."""
+        bias is correctly scaled relative to normalised activations).
+
+        On a trial stack (:func:`~repro.mapping.stacked.stack_networks`)
+        ``x01`` is ``(batch, rows)`` shared by every trial or per-trial
+        ``(T, batch, rows)``, and the result is ``(T, batch, cols)``.
+        ``backend`` (a :class:`~repro.kernels.ComputeBackend`; default
+        numpy) runs the tile products and never changes results.
+        """
         x01 = np.asarray(x01, dtype=float)
         if self.diff.has_bias_row:
             if not 0 <= bias_level <= 1:
@@ -87,10 +96,10 @@ class MappedLayer:
                 [np.full(ones_shape, bias_level), x01], axis=-1
             )
         pos = self.pos_grid.matmul_through(
-            x01, lambda xb, i, j: self.pos_tiles[i][j].matmul(xb)
+            x01, lambda xb, i, j: self.pos_tiles[i][j].matmul(xb, backend)
         )
         neg = self.neg_grid.matmul_through(
-            x01, lambda xb, i, j: self.neg_tiles[i][j].matmul(xb)
+            x01, lambda xb, i, j: self.neg_tiles[i][j].matmul(xb, backend)
         )
         return self.gain * self.diff.scale * (pos - neg)
 
@@ -126,10 +135,13 @@ class MappedNetwork:
 
     ``stages`` parallels the model's layer list: weighted layers carry
     their :class:`MappedLayer`, all others ``None`` (executed in software).
+    ``trials`` is ``None`` for one realization and ``T`` for a trial
+    stack built by :func:`~repro.mapping.stacked.stack_networks`.
     """
 
     model: Sequential
     stages: List[Optional[MappedLayer]]
+    trials: Optional[int] = None
 
     def mapped_layers(self) -> List[MappedLayer]:
         """All hardware-mapped layers in order."""

@@ -194,9 +194,12 @@ class PatchedLayer:
     def matmul(self, x01: np.ndarray) -> np.ndarray:
         return self.matmul_with_bias_level(x01, bias_level=1.0)
 
-    def matmul_with_bias_level(self, x01: np.ndarray, bias_level: float) -> np.ndarray:
+    def matmul_with_bias_level(
+        self, x01: np.ndarray, bias_level: float, backend=None
+    ) -> np.ndarray:
         out = np.asarray(
-            self.base.matmul_with_bias_level(x01, bias_level), dtype=float
+            self.base.matmul_with_bias_level(x01, bias_level, backend),
+            dtype=float,
         )
         if not self.patches and self._w_soft is None:
             return out

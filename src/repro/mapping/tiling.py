@@ -64,19 +64,23 @@ class TileGrid:
 
         ``tile_op(x_band, i, j)`` must return the partial product of the
         input slice for row band ``i`` against tile ``(i, j)``.  Partial
-        sums across row bands are accumulated digitally.
+        sums across row bands are accumulated digitally, in band order.
+        The output takes its leading axes from the partials, so trial
+        stacks of tiles (``(T, batch, cols)`` partials from shared
+        ``(batch, rows)`` input) accumulate through the same loop.
         """
         x = np.asarray(x, dtype=float)
         if x.shape[-1] != self.shape[0]:
             raise ShapeError(
                 f"input width {x.shape[-1]} != matrix rows {self.shape[0]}"
             )
-        out_shape = x.shape[:-1] + (self.shape[1],)
-        out = np.zeros(out_shape, dtype=float)
+        out = None
         for i in range(self.row_bands):
             x_band = x[..., self.row_edges[i] : self.row_edges[i + 1]]
             for j in range(self.col_bands):
                 partial = tile_op(x_band, i, j)
+                if out is None:
+                    out = np.zeros(partial.shape[:-1] + (self.shape[1],))
                 out[..., self.col_edges[j] : self.col_edges[j + 1]] += partial
         return out
 

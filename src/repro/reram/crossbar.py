@@ -16,8 +16,10 @@ process variation in :mod:`repro.reram.variation`, wire parasitics in
 
 For Monte-Carlo sweeps, :class:`StackedCrossbar` holds ``T`` conductance
 realizations of one programmed array as a single ``(T, rows, cols)``
-tensor so all trials evaluate in one broadcast numpy expression (the
-trial-stacked fast path of the Fig. 7 / fault-campaign runners).
+tensor.  It offers the same read interface as :class:`CrossbarArray`
+(``rows``, ``cols``, ``spec``, ``conductances``,
+``column_total_conductance`` over axis ``-2``), so the signal chain
+evaluates either one through the same broadcast numpy code.
 """
 
 from __future__ import annotations
@@ -177,7 +179,7 @@ class CrossbarArray:
         start fresh via ``__init__``.
         """
         if self._column_totals is None:
-            totals = self._g.sum(axis=0)
+            totals = self._g.sum(axis=-2)
             totals.flags.writeable = False
             self._column_totals = totals
         return self._column_totals
@@ -283,19 +285,13 @@ class StackedCrossbar:
         g.flags.writeable = False
         return g
 
-    def mvm_currents(self, voltages: np.ndarray, backend=None) -> np.ndarray:
+    def mvm_currents(self, voltages: np.ndarray) -> np.ndarray:
         """Bitline currents for every trial at once.
 
         Accepts ``(rows,)``, ``(batch, rows)`` or per-trial inputs
         ``(T, batch, rows)``; returns ``(T, cols)``, ``(T, batch, cols)``
-        or ``(T, batch, cols)`` respectively via the broadcast batched
-        matmul of ``backend`` (a
-        :class:`~repro.kernels.ComputeBackend` or a name for
-        :func:`~repro.kernels.get_backend`; default numpy — the
-        byte-identical reference).
+        or ``(T, batch, cols)`` respectively via one broadcast matmul.
         """
-        from ..kernels import get_backend
-
         v = np.asarray(voltages, dtype=float)
         if v.shape[-1] != self.rows:
             raise ShapeError(
@@ -306,12 +302,12 @@ class StackedCrossbar:
                 f"per-trial voltages have {v.shape[0]} trials, "
                 f"stack holds {self.trials}"
             )
-        return get_backend(backend).matmul(v, self._g)
+        return v @ self._g
 
     def column_total_conductance(self) -> np.ndarray:
         """Per-trial, per-column ``Σ_i G[t, i, j]`` of shape ``(T, cols)``."""
         if self._column_totals is None:
-            totals = self._g.sum(axis=1)
+            totals = self._g.sum(axis=-2)
             totals.flags.writeable = False
             self._column_totals = totals
         return self._column_totals

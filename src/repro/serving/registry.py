@@ -5,10 +5,11 @@ through the artifact store — a warm cache makes startup instant, a cold
 one trains and persists first), compiled onto ReSiPE crossbars and
 calibrated once at load time.  Optionally an entry carries a
 *fault-trial ensemble*: ``T`` variation-perturbed clones of the mapped
-network whose predictions are evaluated in a single
-:class:`~repro.reram.crossbar.StackedCrossbar` trial-tensor pass and
-reduced by majority vote — robustness-aware serving at nearly the cost
-of a single forward.
+network, stacked once at load into
+:class:`~repro.reram.crossbar.StackedCrossbar` trial tensors, whose
+predictions are evaluated in a single pass and reduced by majority
+vote — robustness-aware serving at nearly the cost of a single
+forward.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from ..core.mvm import MVMMode
 from ..errors import ConfigurationError, ModelUnavailableError, ShapeError
 from ..mapping import PIMExecutor, ReSiPEBackend, compile_network
 from ..mapping.compiler import MappedNetwork
+from ..mapping.stacked import stack_networks
 from ..runtime import trial_rng
 
 __all__ = ["ModelEntry", "ModelRegistry"]
@@ -42,13 +44,18 @@ class ModelEntry:
         Per-sample input shape requests must match (e.g. ``(784,)``).
     ensemble:
         Optional Monte-Carlo network clones; when present, predictions
-        run all clones in one stacked pass and majority-vote.
+        run all clones in one stacked pass and majority-vote.  The
+        clones are stacked once, when the entry is built, not per
+        request.
     """
 
     name: str
     executor: PIMExecutor
     input_shape: Tuple[int, ...]
     ensemble: Optional[List[MappedNetwork]] = None
+
+    def __post_init__(self) -> None:
+        self._stack = stack_networks(self.ensemble) if self.ensemble else None
 
     @property
     def ensemble_trials(self) -> int:
@@ -74,7 +81,7 @@ class ModelEntry:
         """
         if not self.ensemble:
             return self.executor.predict(x)
-        trials = self.executor.predict_trials(x, self.ensemble)
+        trials = self.executor.predict_trials(x, self._stack)
         votes = np.empty(trials.shape[1], dtype=np.intp)
         for j in range(trials.shape[1]):
             values, counts = np.unique(trials[:, j], return_counts=True)

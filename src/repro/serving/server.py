@@ -183,7 +183,10 @@ class HTTPFrontend:
                 break
             key, _, value = raw.decode("latin-1").partition(":")
             headers[key.strip().lower()] = value.strip()
-        length = int(headers.get("content-length", "0") or "0")
+        declared = headers.get("content-length", "0") or "0"
+        if not (declared.isascii() and declared.isdigit()):
+            raise _BadRequest(f"invalid Content-Length {declared!r}")
+        length = int(declared)
         if length > _MAX_BODY:
             raise _BadRequest("request body too large", status=413)
         body = await reader.readexactly(length) if length else b""

@@ -13,6 +13,8 @@ before CI's lint job ever runs.
 import json
 import os
 
+import pytest
+
 from repro.analysis.lint import (
     DEEP_RULE_IDS,
     LintReport,
@@ -27,32 +29,37 @@ REPO_ROOT = os.path.abspath(
 )
 
 
+@pytest.fixture(scope="module")
+def tree_report():
+    """One full-tree lint run shared by every test that reads it (the
+    linter is pure over the tree, so re-running it only costs time)."""
+    return run_lint(root=REPO_ROOT)
+
+
 def test_repo_root_layout():
     assert os.path.isdir(os.path.join(REPO_ROOT, "src", "repro"))
     assert os.path.isdir(os.path.join(REPO_ROOT, "tests"))
 
 
-def test_shipped_tree_is_clean():
-    report = run_lint(root=REPO_ROOT)
+def test_shipped_tree_is_clean(tree_report):
+    report = tree_report
     assert report.errors == [], f"unparseable files: {report.errors}"
     details = "\n".join(f.render() for f in report.findings)
     assert report.clean, f"lint violations in shipped tree:\n{details}"
     assert report.exit_code == 0
 
 
-def test_shipped_tree_needs_no_baseline():
+def test_shipped_tree_needs_no_baseline(tree_report):
     # The linter landed with every historical violation fixed, so the
     # suppression file must stay empty/absent. A finding that "needs"
     # a baseline entry is a regression, not legacy debt.
-    report = run_lint(root=REPO_ROOT)
-    assert report.suppressed == 0
+    assert tree_report.suppressed == 0
 
 
-def test_every_registered_rule_participates():
-    report = run_lint(root=REPO_ROOT)
+def test_every_registered_rule_participates(tree_report):
     # Sanity: the run actually visited a substantial tree with all
     # rules active, rather than passing vacuously.
-    assert report.files > 100
+    assert tree_report.files > 100
     assert set(RULES) >= {
         "RNG001", "IO001", "UNIT001", "TEST001", "ERR001", "TEL001",
     }
@@ -122,9 +129,8 @@ class TestDeepFamilySelfHost:
 
 # ----------------------------------------------------------------------
 class TestSarifOutput:
-    def test_clean_tree_renders_valid_sarif(self):
-        report = run_lint(root=REPO_ROOT)
-        doc = json.loads(render_sarif(report))
+    def test_clean_tree_renders_valid_sarif(self, tree_report):
+        doc = json.loads(render_sarif(tree_report))
         assert doc["version"] == "2.1.0"
         assert "sarif-schema-2.1.0" in doc["$schema"]
         run = doc["runs"][0]

@@ -2,8 +2,8 @@
 
 The kernels layer is an *execution* knob: ``get_backend`` must resolve
 names deterministically, refuse explicit requests for missing engines
-(never silently degrade), and the numpy backend must be bit-identical
-to the raw numpy expressions the serial reference path runs.
+(never silently degrade), and the numpy backend's ``matmul`` — the one
+primitive a backend provides — must be bit-identical to ``np.matmul``.
 """
 
 import numpy as np
@@ -19,7 +19,6 @@ from repro.kernels import (
 )
 
 HAVE_NUMBA = available_backends()["numba"]
-HAVE_CUPY = available_backends()["cupy"]
 
 
 class TestResolution:
@@ -45,15 +44,10 @@ class TestResolution:
         with pytest.raises(ConfigurationError, match="perf"):
             get_backend("numba")
 
-    @pytest.mark.skipif(HAVE_CUPY, reason="cupy installed here")
-    def test_explicit_cupy_raises_when_missing(self):
-        with pytest.raises(ConfigurationError, match="cupy"):
-            get_backend("cupy")
-
     def test_available_backends_shape(self):
         avail = available_backends()
         assert avail["numpy"] is True
-        assert set(avail) == {"numpy", "numba", "cupy"}
+        assert set(avail) == {"numpy", "numba"}
 
     @pytest.mark.skipif(HAVE_NUMBA, reason="numba installed here")
     def test_auto_falls_back_with_single_warning(self, monkeypatch):
@@ -102,26 +96,6 @@ class TestNumpyBackend:
         out = NumpyBackend().matmul(x, w)
         for t in range(4):
             assert np.array_equal(out[t], x[t] @ w[t])
-
-    def test_elementwise_defaults_are_numpy(self, rng):
-        be = NumpyBackend()
-        x = rng.random(32) - 0.5
-        assert np.array_equal(be.exp(x), np.exp(x))
-        assert np.array_equal(be.log1p(x), np.log1p(x))
-        mask = x > 0
-        assert np.array_equal(be.where(mask, x, 0.0),
-                              np.where(mask, x, 0.0))
-
-    def test_accumulate_is_in_place_banded_sum(self, rng):
-        be = NumpyBackend()
-        out = np.zeros((3, 5, 8))
-        partial = rng.random((3, 5, 4))
-        be.accumulate(out, slice(2, 6), partial)
-        assert np.array_equal(out[..., 2:6], partial)
-        assert np.all(out[..., :2] == 0)
-        assert np.all(out[..., 6:] == 0)
-        be.accumulate(out, slice(2, 6), partial)
-        assert np.array_equal(out[..., 2:6], partial + partial)
 
     def test_is_compute_backend(self):
         assert isinstance(NumpyBackend(), ComputeBackend)

@@ -376,6 +376,52 @@ class TestEnsemble:
         )
         assert voted.predict(np.zeros((0, 12))).shape == (0,)
 
+    def test_ensemble_stacked_once_at_load(self, rng, monkeypatch):
+        """Requests reuse the stack built with the entry, and vote the
+        same bytes as stacking the clones per request."""
+        import repro.mapping.executor as executor_mod
+        from repro.config import CircuitParameters
+        from repro.core.mvm import MVMMode
+        from repro.mapping import PIMExecutor, ReSiPEBackend, compile_network
+        from repro.nn import Dense, ReLU, Sequential
+        from repro.runtime import trial_rng
+        from repro.serving import ModelEntry
+
+        model = Sequential(
+            [Dense(12, 8, rng=rng), ReLU(), Dense(8, 4, rng=rng)],
+            name="toy",
+        )
+        backend = ReSiPEBackend(
+            params=CircuitParameters.calibrated(), mode=MVMMode.LINEAR
+        )
+        executor = PIMExecutor(
+            compile_network(model, backend), rng.random((16, 12))
+        )
+        clones = [
+            executor.perturbed(trial_rng(0, f"serve|{t}"), 0.15).network
+            for t in range(5)
+        ]
+        voted = ModelEntry(
+            name="toy", executor=executor, input_shape=(12,),
+            ensemble=clones,
+        )
+        x = rng.random((9, 12))
+        trials = executor.predict_trials(x, clones)
+        expected = np.empty(x.shape[0], dtype=np.intp)
+        for j in range(x.shape[0]):
+            values, counts = np.unique(trials[:, j], return_counts=True)
+            expected[j] = values[np.argmax(counts)]
+
+        def restack(*_args, **_kwargs):
+            raise AssertionError("stack_networks ran on a request")
+
+        monkeypatch.setattr(executor_mod, "stack_networks", restack)
+        for _ in range(2):
+            got = voted.predict(x)
+            assert got.dtype == expected.dtype
+            assert got.tobytes() == expected.tobytes()
+        assert voted.predict(np.zeros((0, 12))).shape == (0,)
+
 
 class TestConfig:
     def test_validation(self):

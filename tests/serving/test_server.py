@@ -125,6 +125,28 @@ class TestRouting:
             )
             assert status == 400
 
+    @pytest.mark.parametrize("declared", ["abc", "-5", "1_0", "²"])
+    def test_bad_content_length_is_400(self, registry, declared):
+        """A non-numeric or negative Content-Length is the client's
+        error, not a server failure."""
+        import socket
+
+        with BackgroundServer(registry, _config()) as server:
+            with socket.create_connection(
+                (server.host, server.port), timeout=5
+            ) as sock:
+                sock.sendall(
+                    (f"POST /predict HTTP/1.1\r\nHost: x\r\n"
+                     f"Content-Length: {declared}\r\n\r\n").encode("latin-1")
+                )
+                reply = b""
+                while b"\r\n" not in reply:
+                    chunk = sock.recv(4096)
+                    if not chunk:
+                        break
+                    reply += chunk
+        assert reply.split(b"\r\n", 1)[0].split()[1] == b"400"
+
     def test_wrong_method_is_405(self, registry):
         with BackgroundServer(registry, _config()) as server:
             status, _ = client.request(
